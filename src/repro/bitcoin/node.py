@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..crypto.hashing import hash160
 from ..crypto.keys import PrivateKey
@@ -139,7 +140,7 @@ class BitcoinNode(GossipNode):
             bits=self.policy.bits,
             miner_id=self.node_id,
             reward=reward,
-            reward_pubkey_hash=self._payout_hash(),
+            reward_pubkey_hash=self._payout_hash,
         )
         self.blocks_mined += 1
         if self.log is not None:
@@ -171,7 +172,9 @@ class BitcoinNode(GossipNode):
         self.announce(block.hash, self.KIND, block, block.size)
         return block
 
+    @cached_property
     def _payout_hash(self) -> bytes:
+        # Memoized: deriving a public key is a full scalar multiplication.
         return hash160(self.key.public_key().to_bytes())
 
     # -- transaction entry points -----------------------------------------

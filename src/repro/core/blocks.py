@@ -20,8 +20,9 @@ from functools import cached_property
 
 from ..bitcoin.blocks import HEADER_SIZE, SyntheticPayload, TxPayload
 from ..crypto.hashing import sha256d, tagged_hash
-from ..crypto.keys import PrivateKey, PublicKey
+from ..crypto.keys import PrivateKey
 from ..crypto.pow import meets_target, target_from_compact, work_from_target
+from ..crypto.sigcache import shared_signature_cache
 from ..ledger.transactions import Transaction
 
 # A compressed public key adds 33 bytes to the Bitcoin header.
@@ -142,7 +143,7 @@ class Microblock:
     def verify_signature(self, leader_pubkey: bytes) -> bool:
         """Check the header signature under the epoch's public key."""
         try:
-            pubkey = PublicKey.from_bytes(leader_pubkey)
+            pubkey = shared_signature_cache().decode(leader_pubkey)
         except Exception:
             return False
         return pubkey.verify(self.header.signing_payload(), self.signature)
@@ -216,9 +217,10 @@ def check_key_block(block: KeyBlock, require_pow: bool = True) -> None:
     if require_pow and not block.header.meets_pow():
         raise InvalidNGBlock("key block does not meet its target")
     # Reject an obviously un-parsable key so later signature checks are
-    # meaningful.
+    # meaningful.  Every node decodes the same few leader keys, so the
+    # decode goes through the process-wide memo (failures are not kept).
     try:
-        PublicKey.from_bytes(block.header.leader_pubkey)
+        shared_signature_cache().decode(block.header.leader_pubkey)
     except Exception as exc:
         raise InvalidNGBlock(f"leader public key undecodable: {exc}") from exc
 

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..bitcoin.chain import Reorg, TieBreak
+from ..crypto.sigcache import shared_signature_cache
 from .blocks import InvalidNGBlock, KeyBlock, Microblock
 from .params import NGParams
 
@@ -199,7 +200,11 @@ class NGChain:
                 f"microblock interval {gap:.3f}s below the minimum "
                 f"{self.params.min_microblock_interval}s"
             )
-        if check_signature and not micro.verify_signature(parent.leader_pubkey):
+        # The verdict is a pure function of (key, header, signature), so
+        # every node shares one verification per microblock.
+        if check_signature and not shared_signature_cache().verify(
+            micro, parent.leader_pubkey
+        ):
             raise InvalidNGBlock("microblock not signed by the epoch leader")
 
     # -- mutation -------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..bitcoin.blocks import SyntheticPayload, TxPayload
 from ..crypto.hashing import hash160
@@ -103,9 +104,9 @@ class NGNode(GossipNode):
             raise ValueError(
                 "generation interval below the protocol minimum"
             )
+        # Only the epoch leader needs its public key, so it is derived
+        # on first use (see ``pubkey_bytes``), not here.
         self.key = key or PrivateKey.from_seed(f"ng-node-{node_id}")
-        self.pubkey_bytes = self.key.public_key().to_bytes()
-        self.pubkey_hash = hash160(self.pubkey_bytes)
         if ghost_fork_choice:
             # Section 9 future work: GHOST over key blocks, enabling
             # higher key-block frequencies.
@@ -145,6 +146,16 @@ class NGNode(GossipNode):
         )
         if log is not None:
             log.record_tip(node_id, genesis.hash, sim.now)
+
+    @cached_property
+    def pubkey_bytes(self) -> bytes:
+        """The compressed public key this node's key blocks carry."""
+        return self.key.public_key().to_bytes()
+
+    @cached_property
+    def pubkey_hash(self) -> bytes:
+        """Where this node's leader payouts go."""
+        return hash160(self.pubkey_bytes)
 
     # -- key block mining ---------------------------------------------------
 

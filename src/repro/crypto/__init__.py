@@ -2,8 +2,9 @@
 
 Everything the protocols need is implemented here from scratch — the
 library has no binary crypto dependency.  See :mod:`repro.crypto.ecdsa`
-for the secp256k1 implementation and :mod:`repro.crypto.pow` for target
-arithmetic.
+for the secp256k1 implementation, :mod:`repro.crypto.pow` for target
+arithmetic, and :mod:`repro.crypto.sigcache` for the process-wide
+verification memo.
 """
 
 from .hashing import DIGEST_SIZE, hash160, hash_to_int, sha256, sha256d, tagged_hash
@@ -28,6 +29,7 @@ from .pow import (
     target_from_compact,
     work_from_target,
 )
+from .sigcache import SignatureCache, shared_signature_cache
 
 __all__ = [
     "DIGEST_SIZE",
@@ -38,6 +40,7 @@ __all__ = [
     "InvalidTarget",
     "PrivateKey",
     "PublicKey",
+    "SignatureCache",
     "address_from_pubkey_hash",
     "base58check_decode",
     "base58check_encode",
@@ -52,6 +55,7 @@ __all__ = [
     "scale_target",
     "sha256",
     "sha256d",
+    "shared_signature_cache",
     "tagged_hash",
     "target_from_compact",
     "verify_proof",

@@ -5,10 +5,11 @@ implements the same curve from scratch so the library has no binary
 dependencies.  Signing is deterministic (RFC 6979 style, via HMAC-SHA256)
 so test vectors are stable and simulations are reproducible.
 
-Performance note: a sign or verify costs on the order of a millisecond in
-CPython, which mirrors the paper's observation that signature checking
-adds "several milliseconds per microblock".  Experiments may disable
-verification exactly as the paper's testbed did.
+Performance note: in CPython a sign costs about 1 ms (one fixed-base
+multiplication through ``_G_TABLE``) and a verify about 4 ms (it adds a
+generic-point multiplication), which mirrors the paper's observation that
+signature checking adds "several milliseconds per microblock".
+Experiments may disable verification exactly as the paper's testbed did.
 """
 
 from __future__ import annotations

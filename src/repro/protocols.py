@@ -305,11 +305,13 @@ class BitcoinNGAdapter(ProtocolAdapter):
         if not ng_nodes:
             return None
         # Between a leader learning of its dethroning and anyone taking
-        # over, fall back to whoever signed the latest key block.
+        # over, fall back to whoever signed the latest key block.  Only
+        # a node that has mined can have signed it, and skipping the
+        # rest keeps their keys underived.
         latest = ng_nodes[0].chain.latest_key_block()
         pubkey = latest.block.header.leader_pubkey
         for node in ng_nodes:
-            if node.pubkey_bytes == pubkey:
+            if node.key_blocks_mined > 0 and node.pubkey_bytes == pubkey:
                 return node.node_id
         return None  # genesis epoch: its key belongs to no node
 

@@ -13,8 +13,9 @@ nondeterminism bug slips through anyway.
   forfeiture, tip monotonicity, and mempool/UTXO cross-consistency.
   Checkers implement an incremental protocol (``check_block`` /
   ``on_event`` / ``check_dirty`` plus a ``depends`` component set) and
-  share a process-wide :class:`SignatureCache` so each (leader,
-  microblock) pair is verified exactly once.
+  share the process-wide :class:`~repro.crypto.sigcache.SignatureCache`
+  (re-exported here) so each (leader, microblock) pair is verified
+  exactly once.
 * :mod:`.runtime` — :class:`SanitizerRuntime`, the event-boundary probe
   that sweeps node state through the checkers and captures state
   digests.  Three modes: ``incremental`` (dirty-set tracking, the

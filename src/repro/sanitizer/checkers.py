@@ -20,8 +20,9 @@ INV104 (microblock-leader-sig) is the one checker whose work is
 expensive enough to dominate checked runs: a pure-Python ECDSA verify
 per main-chain microblock per node.  Signature validity is a pure
 function of ``(leader_pubkey, header, signature)``, so a process-wide
-:class:`SignatureCache` memoizes the verdict and each unique pair is
-verified exactly once per process — a reorg that moves a microblock
+:class:`~repro.crypto.sigcache.SignatureCache` (shared with the nodes'
+own ``check_signatures`` path) memoizes the verdict and each unique
+pair is verified exactly once per process — a reorg that moves a microblock
 under a different epoch leader produces a *different* cache key, so
 entries can never be served stale (see the class docstring).
 
@@ -59,6 +60,7 @@ from typing import ClassVar
 
 from ..bitcoin.blocks import SyntheticPayload
 from ..core.remuneration import split_fee
+from ..crypto.sigcache import SignatureCache, shared_signature_cache
 from ..obs.trace import short_hash
 from .violations import ViolationRecord, make_violation
 
@@ -121,74 +123,6 @@ class NodeDelta:
 #: A delta with every component dirty — what full sweeps hand to
 #: ``check_dirty`` so delegation to ``check_state`` is unconditional.
 ALL_DIRTY = NodeDelta(chain=True, mempool=True, utxo=True, poisons=True)
-
-
-class SignatureCache:
-    """Process-wide memo of microblock signature verdicts.
-
-    Signature validity is a *pure function* of the verifying key, the
-    signed header, and the signature bytes.  The cache key is therefore
-    ``(leader_pubkey, microblock_hash, signature)``: the microblock hash
-    pins the header (it covers prev-hash, timestamp, and entries root
-    but — deliberately — not the signature, so the signature must be in
-    the key itself), and the pubkey pins which epoch leader the pair is
-    judged under.  Because the key captures the verification's full
-    input, entries can never go stale: a reorg that drops a key block
-    changes which ``leader_pubkey`` INV104 looks up — a *different* key,
-    a fresh verification — never a wrong cached verdict.  Negative
-    verdicts are cached too, so a forged microblock costs one verify,
-    not one per sweep per node.
-    """
-
-    def __init__(self, max_entries: int = 1 << 20) -> None:
-        self.max_entries = max(1, int(max_entries))
-        self.hits = 0
-        self.misses = 0
-        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
-
-    def __len__(self) -> int:
-        return len(self._verdicts)
-
-    def clear(self) -> None:
-        """Drop all memoized verdicts (and reset the hit/miss counters).
-
-        Safe at any time — the cache memoizes a pure function, so a
-        cleared entry is simply recomputed on next lookup.  Benchmarks
-        use this to measure cold-cache checked runs.
-        """
-        self._verdicts.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def verify(self, block: object, leader_pubkey: bytes) -> bool:
-        """``block.verify_signature(leader_pubkey)``, memoized."""
-        key = (
-            leader_pubkey,
-            block.hash,  # type: ignore[attr-defined]
-            block.signature,  # type: ignore[attr-defined]
-        )
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            self.misses += 1
-            verdict = bool(
-                block.verify_signature(leader_pubkey)  # type: ignore[attr-defined]
-            )
-            if len(self._verdicts) >= self.max_entries:
-                # Bounded: dropping memoized verdicts of a pure function
-                # is always safe — they refill on demand.
-                self._verdicts.clear()
-            self._verdicts[key] = verdict
-        else:
-            self.hits += 1
-        return verdict
-
-
-_SHARED_SIGNATURE_CACHE = SignatureCache()
-
-
-def shared_signature_cache() -> SignatureCache:
-    """The process-wide cache incremental-mode factories wire into INV104."""
-    return _SHARED_SIGNATURE_CACHE
 
 
 def chain_of(node: object) -> object:

@@ -13,7 +13,7 @@
   :meth:`~repro.sanitizer.checkers.InvariantChecker.check_dirty`, which
   gates on the components each checker declares in ``depends``.  INV104
   additionally memoizes signature verdicts in the process-wide
-  :class:`~repro.sanitizer.checkers.SignatureCache`.
+  :class:`~repro.crypto.sigcache.SignatureCache`.
 * **full**: the original strategy — every state checker runs against
   every node on every sweep, and INV104 verifies uncached.  Kept as the
   independent cross-check path (``--check=full``).

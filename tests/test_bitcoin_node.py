@@ -189,3 +189,11 @@ def test_full_mode_fees_accrue_to_miner():
     sim.run()
     # The miner's coinbase includes subsidy + the fee.
     assert mined.coinbase.outputs[0].value == nodes[0].policy.reward + fee
+
+
+def test_miner_derives_its_payout_key_once(key_derivations):
+    sim, _, nodes = _cluster()
+    blocks = [nodes[0].generate_block() for _ in range(3)]
+    expected = hash160(nodes[0].key.public_key().to_bytes())
+    assert key_derivations == [nodes[0].key, nodes[0].key]  # one mined, one expected
+    assert all(b.coinbase.outputs[0].pubkey_hash == expected for b in blocks)

@@ -5,7 +5,7 @@ import pytest
 import repro.core.node as node_mod
 from repro.bitcoin.blocks import SyntheticPayload, TxPayload
 from repro.core.blocks import KeyBlock, build_microblock
-from repro.core.genesis import make_ng_genesis
+from repro.core.genesis import GENESIS_LEADER_KEY, make_ng_genesis
 from repro.core.node import KIND_KEY, KIND_MICRO, MicroblockPolicy, NGNode
 from repro.core.params import NGParams
 from repro.metrics.collector import ObservationLog
@@ -320,3 +320,45 @@ def test_connect_and_disconnect_roundtrip_for_tx_microblocks():
     # mempool for re-placement.
     assert outpoint in node.utxo
     assert tx.txid in node.mempool
+
+
+# -- lazy keys ----------------------------------------------------------------
+
+
+def test_building_nodes_through_the_adapter_derives_no_keys(key_derivations):
+    from repro.experiments import ExperimentConfig, Protocol
+    from repro.experiments.runner import build_network
+    from repro.mining.power import exponential_shares
+    from repro.protocols import get_adapter
+
+    config = ExperimentConfig(protocol=Protocol.BITCOIN_NG, n_nodes=200)
+    sim = Simulator(seed=0)
+    network = build_network(config, sim)
+    nodes, _ = get_adapter(Protocol.BITCOIN_NG).build_nodes(
+        config, sim, network, ObservationLog(200), exponential_shares(200)
+    )
+    assert len(nodes) == 200
+    assert key_derivations == [GENESIS_LEADER_KEY]  # no node key is derived
+
+
+def test_lazy_pubkey_matches_the_seeded_key(key_derivations):
+    _, _, nodes = _cluster()
+    for i, node in enumerate(nodes):
+        expected = PrivateKey.from_seed(f"ng-node-{i}").public_key().to_bytes()
+        assert node.pubkey_bytes == expected
+        assert node.pubkey_hash == hash160(expected)
+    # One derivation per node for its own key, one per expected value.
+    assert len(key_derivations) == 2 * len(nodes)
+    assert nodes[0].pubkey_bytes and nodes[0].pubkey_hash
+    assert len(key_derivations) == 2 * len(nodes)  # memoized, not re-derived
+
+
+def test_explicit_key_is_honoured():
+    sim = Simulator(seed=0)
+    net = Network(sim, complete_topology(2), constant_histogram(0.05), 1e6)
+    key = PrivateKey.from_seed("explicit")
+    node = NGNode(0, sim, net, GENESIS, PARAMS, key=key)
+    assert node.key is key
+    assert node.pubkey_bytes == key.public_key().to_bytes()
+    block = node.generate_key_block()
+    assert block.header.leader_pubkey == key.public_key().to_bytes()

@@ -88,3 +88,60 @@ def test_leading_zero_preservation():
     encoded = base58check_encode(0, payload)
     _, decoded = base58check_decode(encoded)
     assert decoded == payload
+
+
+# -- the decode memo ----------------------------------------------------------
+
+
+def test_memoized_decode_equals_uncached():
+    from repro.crypto.sigcache import SignatureCache
+
+    cache = SignatureCache()
+    for i in range(8):
+        encoded = PrivateKey.from_seed(f"memo-{i}").public_key().to_bytes()
+        uncached = PublicKey.from_bytes(encoded)
+        assert cache.decode(encoded) == uncached  # miss
+        assert cache.decode(encoded) == uncached  # hit
+    assert (cache.hits, cache.misses) == (0, 0)  # verdict counters only
+
+
+def test_decode_memo_decodes_each_key_once_until_cleared(pubkey_decodes):
+    from repro.crypto.sigcache import SignatureCache
+
+    cache = SignatureCache()
+    encoded = PrivateKey.from_seed("memo").public_key().to_bytes()
+    for _ in range(3):
+        cache.decode(encoded)
+    assert pubkey_decodes == [encoded]
+    cache.clear()
+    cache.decode(encoded)
+    assert pubkey_decodes == [encoded, encoded]
+
+
+def test_decode_failures_are_not_memoized(pubkey_decodes):
+    from repro.crypto.ecdsa import InvalidPoint
+    from repro.crypto.sigcache import SignatureCache
+
+    cache = SignatureCache()
+    bad = b"\x02" + b"\xff" * 32  # x beyond the field prime
+    for _ in range(2):
+        with pytest.raises(InvalidPoint):
+            cache.decode(bad)
+    assert pubkey_decodes == [bad, bad]
+
+
+def test_decode_memo_is_bounded(pubkey_decodes):
+    from repro.crypto.sigcache import SignatureCache
+
+    cache = SignatureCache()
+    cache.max_keys = 2
+    a, b, c = (
+        PrivateKey.from_seed(f"bound-{i}").public_key().to_bytes()
+        for i in range(3)
+    )
+    for encoded in (a, b, a, b):
+        cache.decode(encoded)
+    assert pubkey_decodes == [a, b]
+    cache.decode(c)  # full: the table is dropped to make room
+    cache.decode(a)
+    assert pubkey_decodes == [a, b, c, a]

@@ -217,3 +217,49 @@ def test_parallel_sweep_matches_serial_sweep():
     assert [p.results for p in parallel.points] == [
         p.results for p in serial.points
     ]
+
+
+# -- signature checks ----------------------------------------------------------
+
+
+def test_signature_checks_leave_the_run_unchanged_and_verify_once():
+    """Checking every microblock signature is observation only.
+
+    The experiments run with ``check_signatures=False``, as the paper's
+    testbed did.  With checks on, every verdict is a pure function of
+    (key, header, signature): the honest run is bit-identical, and the
+    process-wide cache verifies each microblock once, not once per node.
+    """
+    from repro.crypto.sigcache import shared_signature_cache
+    from repro.protocols import BitcoinNGAdapter, get_adapter, register_adapter
+
+    class CheckedNGAdapter(BitcoinNGAdapter):
+        nodes: list = []
+
+        def build_nodes(self, config, sim, network, log, shares):
+            nodes, scheduler = super().build_nodes(
+                config, sim, network, log, shares
+            )
+            for node in nodes:
+                node.check_signatures = True
+            type(self).nodes = nodes
+            return nodes, scheduler
+
+    config = CONFIG.with_(protocol=Protocol.BITCOIN_NG, n_nodes=30)
+    default_result, default_log = run_experiment(config)
+    original = get_adapter(Protocol.BITCOIN_NG)
+    cache = shared_signature_cache()
+    cache.clear()
+    register_adapter(CheckedNGAdapter(), replace=True)
+    try:
+        checked_result, checked_log = run_experiment(config)
+    finally:
+        register_adapter(original, replace=True)
+    assert _fingerprint(checked_log) == _fingerprint(default_log)
+    assert checked_result.as_row() == default_result.as_row()
+    assert checked_result.events_processed == default_result.events_processed
+    micros = sum(node.microblocks_generated for node in CheckedNGAdapter.nodes)
+    assert micros > 0
+    assert all(node.blocks_rejected == 0 for node in CheckedNGAdapter.nodes)
+    assert cache.misses == micros
+    assert cache.hits > 0

@@ -166,3 +166,26 @@ def test_default_lifecycle_hooks_resync(monkeypatch):
     assert node.calls == []
     adapter.on_restart(node, sim=None, network=None)
     assert node.calls == ["reset", "tips"]
+
+
+def test_ng_leader_fallback_after_abdication_derives_only_miners_keys(
+    key_derivations,
+):
+    adapter = get_adapter(Protocol.BITCOIN_NG)
+    sim = Simulator(seed=0)
+    network = build_network(CONFIG, sim)
+    log = ObservationLog(CONFIG.n_nodes)
+    nodes, _ = adapter.build_nodes(
+        CONFIG, sim, network, log, exponential_shares(CONFIG.n_nodes)
+    )
+    nodes[3].generate_key_block()
+    sim.run(until=5.0)
+    nodes[3].abdicate()
+    assert not any(node.is_leader() for node in nodes)
+    key_derivations.clear()
+    # Nobody leads, so the fallback names the latest key block's signer.
+    assert adapter.current_leader(nodes) == 3
+    assert key_derivations == []
+    assert all(
+        "pubkey_bytes" not in vars(node) for node in nodes if node is not nodes[3]
+    )

@@ -11,6 +11,8 @@ verification) and the replay (hit, memo only).
 
 import random
 
+import pytest
+
 from repro.bitcoin.blocks import SyntheticPayload
 from repro.core.blocks import build_microblock
 from repro.crypto import ecdsa
@@ -103,3 +105,65 @@ def test_negative_verdicts_are_cached_not_recomputed():
     assert cache.verify(block, claimed) is False
     assert (cache.hits, cache.misses) == (1, 1)
     assert block.verify_signature(claimed) is False
+
+
+def test_sanitizer_reexports_the_crypto_level_cache():
+    import repro.sanitizer as sanitizer
+    from repro.crypto import sigcache
+
+    assert SignatureCache is sigcache.SignatureCache
+    assert sanitizer.SignatureCache is sigcache.SignatureCache
+    assert sanitizer.shared_signature_cache() is sigcache.shared_signature_cache()
+
+
+def test_undecodable_leader_key_rejected_on_every_delivery(pubkey_decodes):
+    from repro.core.blocks import InvalidNGBlock, build_key_block, check_key_block
+    from repro.crypto.sigcache import shared_signature_cache
+    from repro.ledger.transactions import make_coinbase
+
+    # 33 bytes with a valid prefix whose x lies beyond the field prime.
+    block = build_key_block(
+        prev_hash=bytes(32),
+        timestamp=1.0,
+        bits=0x207FFFFF,
+        leader_pubkey=b"\x02" + b"\xff" * 32,
+        coinbase=make_coinbase([(bytes(20), 0)], tag=b"bad-key"),
+    )
+    cache = shared_signature_cache()
+    hits, misses = cache.hits, cache.misses
+    for delivery in (1, 2):
+        with pytest.raises(InvalidNGBlock, match="undecodable"):
+            check_key_block(block, require_pow=False)
+        assert len(pubkey_decodes) == delivery  # the failure was not memoized
+    assert (cache.hits, cache.misses) == (hits, misses)
+
+
+def test_key_block_checks_decode_each_leader_key_once(pubkey_decodes):
+    from repro.core.blocks import build_key_block, check_key_block
+    from repro.crypto.sigcache import shared_signature_cache
+    from repro.ledger.transactions import make_coinbase
+
+    leader = PrivateKey.from_seed("memo-leader").public_key().to_bytes()
+    blocks = [
+        build_key_block(
+            prev_hash=bytes([i]) * 32,
+            timestamp=float(i),
+            bits=0x207FFFFF,
+            leader_pubkey=leader,
+            coinbase=make_coinbase([(bytes(20), 0)], tag=bytes([i])),
+        )
+        for i in range(3)
+    ]
+    shared_signature_cache().clear()
+    for block in blocks:
+        check_key_block(block, require_pow=False)
+    assert pubkey_decodes == [leader]
+    # Microblock verification decodes through the same memo.
+    micro = build_microblock(
+        prev_hash=blocks[0].hash,
+        timestamp=5.0,
+        payload=SyntheticPayload(n_tx=1, salt=b"memo"),
+        leader_key=PrivateKey.from_seed("memo-leader"),
+    )
+    assert micro.verify_signature(leader)
+    assert pubkey_decodes == [leader]
