@@ -25,9 +25,8 @@ from ..ledger.mempool import Mempool
 from ..ledger.transactions import COIN, Transaction
 from ..ledger.utxo import UndoRecord, UtxoSet
 from ..ledger.validation import compute_fee, validate_spend
-from ..metrics.collector import BlockInfo, ObservationLog
+from ..metrics.collector import ObservationLog
 from ..net.gossip import GossipNode, RelayMode, StoredObject
-from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import (
@@ -86,7 +85,7 @@ class BitcoinNode(GossipNode):
             relay_mode=relay_mode,
             verification_seconds_per_byte=verification_seconds_per_byte,
         )
-        self.log = log
+        self.attach_log(log, genesis.hash)
         self.policy = policy or BlockPolicy()
         self.require_pow = require_pow
         self.check_signatures = check_signatures
@@ -98,15 +97,6 @@ class BitcoinNode(GossipNode):
         self._block_counter = 0
         self.blocks_mined = 0
         self.blocks_rejected = 0
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     # -- mining ----------------------------------------------------------
 
@@ -143,32 +133,14 @@ class BitcoinNode(GossipNode):
             reward_pubkey_hash=self._payout_hash,
         )
         self.blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=self.KIND,
-                    n_tx=block.n_tx,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=self.KIND).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=self.KIND,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=block.n_tx,
-            )
+        self.block_generated(
+            block.hash,
+            tip,
+            self.KIND,
+            block.size,
+            block.n_tx,
+            work=block.header.work,
+        )
         self.announce(block.hash, self.KIND, block, block.size)
         return block
 
@@ -210,17 +182,7 @@ class BitcoinNode(GossipNode):
             return False  # unknown object kinds are not relayed
         block: Block = obj.data
         if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=self.KIND,
-                )
-        if sender is not None:
+            self.block_arrived(block.hash, self.KIND)
             try:
                 check_block(block, require_pow=self.require_pow)
             except InvalidBlock:
@@ -238,17 +200,7 @@ class BitcoinNode(GossipNode):
         for reorg in reorgs:
             self._apply_reorg(reorg)
         if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.tree.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.tree.tip),
-                    height=self.tree.height_of(self.tree.tip),
-                )
+            self.tip_changed(self.tree.tip, self.height)
 
     # -- state management ----------------------------------------------------
 

@@ -22,9 +22,8 @@ from ..ledger.mempool import Mempool
 from ..ledger.transactions import Transaction
 from ..ledger.utxo import UndoRecord, UtxoSet
 from ..ledger.validation import compute_fee, validate_spend
-from ..metrics.collector import BlockInfo, ObservationLog
+from ..metrics.collector import ObservationLog
 from ..net.gossip import GossipNode, RelayMode, StoredObject
-from ..obs.trace import short_hash
 from ..net.network import Network
 from ..net.simulator import Simulator
 from .blocks import (
@@ -62,6 +61,8 @@ class MicroblockPolicy:
 class NGNode(GossipNode):
     """A Bitcoin-NG miner/relay node."""
 
+    LEADER_EPOCHS = True
+
     def __init__(
         self,
         node_id: int,
@@ -89,7 +90,7 @@ class NGNode(GossipNode):
             verification_seconds_per_byte=verification_seconds_per_byte,
         )
         self.params = params
-        self.log = log
+        self.attach_log(log, genesis.hash)
         self.policy = policy or MicroblockPolicy()
         self.require_pow = require_pow
         self.check_signatures = check_signatures
@@ -134,18 +135,6 @@ class NGNode(GossipNode):
         self._known_leader_hashes: dict[bytes, bytes] = {
             genesis.header.leader_pubkey: genesis.hash
         }
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        self._c_epochs = registry.counter(
-            "ng_leader_epochs", "leader epochs started across all nodes"
-        )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     @cached_property
     def pubkey_bytes(self) -> bytes:
@@ -162,7 +151,6 @@ class NGNode(GossipNode):
     def generate_key_block(self) -> KeyBlock:
         """Mine a key block on the current tip and become leader."""
         tip = self.chain.tip
-        tip_record = self.chain.record(tip)
         prev_leader_hash = self._prev_leader_payout_hash(tip)
         coinbase = build_ng_coinbase(
             miner_id=self.node_id,
@@ -180,32 +168,9 @@ class NGNode(GossipNode):
             coinbase=coinbase,
         )
         self.key_blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=KIND_KEY,
-                    n_tx=0,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=KIND_KEY).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=KIND_KEY,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=0,
-            )
+        self.block_generated(
+            block.hash, tip, KIND_KEY, block.size, 0, work=block.header.work
+        )
         self.announce(block.hash, KIND_KEY, block, block.size)
         self._start_leading(block)
         return block
@@ -238,14 +203,7 @@ class NGNode(GossipNode):
 
     def _start_leading(self, key_block: KeyBlock) -> None:
         self._leading_epoch = key_block.hash
-        self._c_epochs.inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "epoch_start",
-                self.sim.now,
-                leader=self.node_id,
-                key_block=short_hash(key_block.hash),
-            )
+        self.epoch_started(key_block.hash)
         self._schedule_microblock(
             at=key_block.header.timestamp + self.microblock_interval
         )
@@ -271,24 +229,13 @@ class NGNode(GossipNode):
         """
         if self._leading_epoch is None:
             return
-        if self._tracer is not None:
-            self._tracer.emit(
-                "epoch_end",
-                self.sim.now,
-                leader=self.node_id,
-                key_block=short_hash(self._leading_epoch),
-            )
+        self.epoch_ended(self._leading_epoch)
         self._leading_epoch = None
 
     def _maybe_generate_microblock(self) -> None:
         if not self.is_leader():
-            if self._leading_epoch is not None and self._tracer is not None:
-                self._tracer.emit(
-                    "epoch_end",
-                    self.sim.now,
-                    leader=self.node_id,
-                    key_block=short_hash(self._leading_epoch),
-                )
+            if self._leading_epoch is not None:
+                self.epoch_ended(self._leading_epoch)
             self._leading_epoch = None
             return
         tip_record = self.chain.tip_record
@@ -318,32 +265,7 @@ class NGNode(GossipNode):
             leader_key=self.key,
         )
         self.microblocks_generated += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=micro.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=0,
-                    kind=KIND_MICRO,
-                    n_tx=micro.n_tx,
-                    size=micro.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, micro.hash, self.sim.now)
-        self._c_gen.labels(kind=KIND_MICRO).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(micro.hash),
-                parent=short_hash(tip),
-                kind=KIND_MICRO,
-                miner=self.node_id,
-                size=micro.size,
-                n_tx=micro.n_tx,
-            )
+        self.block_generated(micro.hash, tip, KIND_MICRO, micro.size, micro.n_tx)
         self.announce(micro.hash, KIND_MICRO, micro, micro.size)
         self._publish_poisons()
         return micro
@@ -400,17 +322,7 @@ class NGNode(GossipNode):
 
     def _deliver_key_block(self, block: KeyBlock, sender: int | None):
         if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=KIND_KEY,
-                )
-        if sender is not None:
+            self.block_arrived(block.hash, KIND_KEY)
             try:
                 check_key_block(block, require_pow=self.require_pow)
             except InvalidNGBlock:
@@ -421,17 +333,7 @@ class NGNode(GossipNode):
 
     def _deliver_microblock(self, micro: Microblock, sender: int | None):
         if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, micro.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(micro.hash),
-                    kind=KIND_MICRO,
-                )
-        if sender is not None:
+            self.block_arrived(micro.hash, KIND_MICRO)
             try:
                 check_microblock_structure(
                     micro, self.params.max_microblock_bytes
@@ -465,17 +367,7 @@ class NGNode(GossipNode):
         for reorg in reorgs:
             self._apply_reorg(reorg)
         if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.chain.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.chain.tip),
-                    height=self.chain.tip_record.height,
-                )
+            self.tip_changed(self.chain.tip, self.chain.tip_record.height)
 
     # -- state management ----------------------------------------------------
 

@@ -16,7 +16,6 @@ and is wired here when present; a bare run never touches the engine.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 
 from ..clock import wall_clock
@@ -68,8 +67,7 @@ class ExperimentResult:
     # Invariant violations the sanitizer found (empty unless
     # config.check).  This is the one canonical surface: a tuple of
     # frozen ViolationRecords that participates in equality and pickles
-    # through sweep workers.  The old integer field is a deprecated
-    # property below — use ``len(result.violations)``.
+    # through sweep workers.
     violations: tuple = field(default=(), repr=False)
     # Wall-clock phases and the observability snapshot.  Excluded from
     # equality: wall time is machine noise, and the snapshot must not
@@ -77,22 +75,6 @@ class ExperimentResult:
     wall_setup_seconds: float = field(default=0.0, compare=False)
     wall_simulate_seconds: float = field(default=0.0, compare=False)
     obs: dict | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def invariant_violations(self) -> int:
-        """Deprecated: the violation count.  Use ``len(result.violations)``.
-
-        Kept so external callers of the old dual surface keep working;
-        the JSON emitted by ``repro run --json`` still carries an
-        ``invariant_violations`` count key, which is unaffected.
-        """
-        warnings.warn(
-            "ExperimentResult.invariant_violations is deprecated; "
-            "use len(result.violations)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return len(self.violations)
 
     def as_row(self) -> dict[str, float]:
         """Flat numeric dict, convenient for table printing."""
@@ -139,8 +121,8 @@ def run_experiment(
     (digest recording does this), or leave it to be built from the
     protocol adapter's checker set when ``config.check`` is on.
     ``profiler`` (a :class:`~repro.prof.runtime.ProfilerRuntime`)
-    claims the simulator's profiler slot, taps the trace stream for
-    epoch spans, and — combined with ``config.check`` — times each
+    claims the simulator's profiler slot, tracks epoch spans from the
+    nodes' epoch facts, and — combined with ``config.check`` — times each
     invariant checker; it observes wall time only, so a profiled run is
     bit-identical to a bare one.  Setup (topology, links, nodes) and
     simulation are timed separately so event-rate figures cover only
@@ -151,8 +133,6 @@ def run_experiment(
     sim = Simulator(seed=config.seed)
     if obs is None:
         obs = Observability.from_config(config)
-    if profiler is not None:
-        obs = profiler.wrap_observability(obs)
     if sanitizer is None and config.check:
         from .instrumentation import RunInstrumentation
 
@@ -160,6 +140,7 @@ def run_experiment(
             adapter, tracer=obs.tracer, profiler=profiler
         )
     network = build_network(config, sim, obs=obs)
+    network.epoch_spans = profiler
     log = ObservationLog(config.n_nodes)
     shares = exponential_shares(config.n_nodes, config.power_exponent)
     nodes, scheduler = adapter.build_nodes(config, sim, network, log, shares)
@@ -193,7 +174,7 @@ def run_experiment(
         )
         engine.install()
     if profiler is not None:
-        profiler.install(sim, config.n_nodes)
+        profiler.install(sim, config.n_nodes, tracer=obs.tracer)
     wall_setup = wall_clock() - setup_started
     simulate_started = wall_clock()
     scheduler.start()

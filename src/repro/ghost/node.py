@@ -19,11 +19,10 @@ from ..bitcoin.blocks import (
 )
 from ..bitcoin.chain import TieBreak
 from ..bitcoin.node import DEFAULT_BLOCK_REWARD, BlockPolicy
-from ..metrics.collector import BlockInfo, ObservationLog
+from ..metrics.collector import ObservationLog
 from ..net.gossip import GossipNode, RelayMode, StoredObject
 from ..net.network import Network
 from ..net.simulator import Simulator
-from ..obs.trace import short_hash
 from .chain import GhostTree
 
 
@@ -52,22 +51,13 @@ class GhostNode(GossipNode):
             relay_mode=relay_mode,
             verification_seconds_per_byte=verification_seconds_per_byte,
         )
-        self.log = log
+        self.attach_log(log, genesis.hash)
         self.policy = policy or BlockPolicy()
         self.require_pow = require_pow
         self.tree = GhostTree(genesis, tie_break=tie_break, rng=sim.rng)
         self._block_counter = 0
         self.blocks_mined = 0
         self.blocks_rejected = 0
-        registry = network.obs.registry
-        self._c_gen = registry.counter(
-            "node_blocks_generated", "blocks created, by kind", ("kind",)
-        )
-        self._c_tip = registry.counter(
-            "node_tip_changes", "main-chain tip movements across all nodes"
-        )
-        if log is not None:
-            log.record_tip(node_id, genesis.hash, sim.now)
 
     def generate_block(self) -> Block:
         """Mine a block on the GHOST-selected tip and gossip it."""
@@ -87,32 +77,14 @@ class GhostNode(GossipNode):
             reward=DEFAULT_BLOCK_REWARD,
         )
         self.blocks_mined += 1
-        if self.log is not None:
-            self.log.record_generation(
-                BlockInfo(
-                    hash=block.hash,
-                    parent=tip,
-                    miner=self.node_id,
-                    gen_time=self.sim.now,
-                    work=block.header.work,
-                    kind=self.KIND,
-                    n_tx=block.n_tx,
-                    size=block.size,
-                )
-            )
-            self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-        self._c_gen.labels(kind=self.KIND).inc()
-        if self._tracer is not None:
-            self._tracer.emit(
-                "block_gen",
-                self.sim.now,
-                hash=short_hash(block.hash),
-                parent=short_hash(tip),
-                kind=self.KIND,
-                miner=self.node_id,
-                size=block.size,
-                n_tx=block.n_tx,
-            )
+        self.block_generated(
+            block.hash,
+            tip,
+            self.KIND,
+            block.size,
+            block.n_tx,
+            work=block.header.work,
+        )
         self.announce(block.hash, self.KIND, block, block.size)
         return block
 
@@ -121,17 +93,7 @@ class GhostNode(GossipNode):
             return False  # unknown object kinds are not relayed
         block: Block = obj.data
         if sender is not None:
-            if self.log is not None:
-                self.log.record_arrival(self.node_id, block.hash, self.sim.now)
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "block_arrival",
-                    self.sim.now,
-                    node=self.node_id,
-                    hash=short_hash(block.hash),
-                    kind=self.KIND,
-                )
-        if sender is not None:
+            self.block_arrived(block.hash, self.KIND)
             try:
                 check_block(block, require_pow=self.require_pow)
             except InvalidBlock:
@@ -139,16 +101,7 @@ class GhostNode(GossipNode):
                 return False
         reorgs = self.tree.add_block(block, self.sim.now)
         if reorgs:
-            if self.log is not None:
-                self.log.record_tip(self.node_id, self.tree.tip, self.sim.now)
-            self._c_tip.inc()
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "tip_change",
-                    self.sim.now,
-                    node=self.node_id,
-                    tip=short_hash(self.tree.tip),
-                )
+            self.tip_changed(self.tree.tip, self.tree.tip_record.height)
 
     def best_object_id(self) -> bytes | None:
         return self.tree.tip

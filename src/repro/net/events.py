@@ -110,29 +110,3 @@ class EventQueue:
             if not event.cancelled:
                 return event
         return None
-
-    def pop_due(self, limit: float | None = None) -> Event | None:
-        """Pop the next live event at or before ``limit``.
-
-        Cancelled heads are purged as they surface.  Returns None when
-        the queue is empty or the next live event lies beyond ``limit``
-        (in which case it stays queued); ``limit=None`` means no bound.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2].cancelled:
-                heapq.heappop(heap)
-                continue
-            if limit is not None and head[0] > limit:
-                return None
-            heapq.heappop(heap)
-            return head[2]
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None

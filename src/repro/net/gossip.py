@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Protocol
 
+from ..metrics.collector import BlockInfo, ObservationLog
+from ..obs.registry import NULL_METRIC
 from ..obs.trace import short_hash
 from .events import Event
 from .network import Message, Network
@@ -47,6 +49,21 @@ class RelayMode(enum.Enum):
     FLOOD = "flood"
 
 
+class EpochSpanTracker(Protocol):
+    """What the node event path feeds a leader-epoch span tracker.
+
+    Structural typing keeps :mod:`repro.net` free of any import of the
+    profiling layer (:class:`repro.prof.runtime.ProfilerRuntime`
+    implements this protocol).
+    """
+
+    def block_generated(self, miner: int, kind: str) -> None: ...
+
+    def epoch_started(self, leader: int, key_block: bytes, t: float) -> None: ...
+
+    def epoch_ended(self, leader: int, t: float) -> None: ...
+
+
 @dataclass(frozen=True, slots=True)
 class StoredObject:
     """An object held in a node's relay store."""
@@ -62,8 +79,14 @@ class GossipNode:
 
     Subclasses implement :meth:`deliver`, called exactly once per new
     object, and may call :meth:`announce` to inject locally created
-    objects (e.g. a freshly mined block) into the gossip layer.
+    objects (e.g. a freshly mined block) into the gossip layer.  They
+    report protocol facts through the typed methods under "protocol
+    facts" below, which fan out to every attached observation sink.
     """
+
+    # Whether this protocol has leader epochs (Bitcoin-NG): only then is
+    # the ``ng_leader_epochs`` counter registered.
+    LEADER_EPOCHS = False
 
     def __init__(
         self,
@@ -105,9 +128,26 @@ class GossipNode:
         # sets, not edge removal), so the neighbor list is cached once
         # instead of looked up per relayed object.
         self._neighbors: list[int] = network.neighbors(node_id)
-        # Observability: None when disabled, so tracing costs one
-        # attribute check at the (rare) sites that emit records.
+        # Observation sinks, each None (or a no-op counter) when
+        # disabled, so a fact costs one check per detached sink.  The
+        # paper-metrics log is attached by the protocol subclass.
+        self.log: ObservationLog | None = None
         self._tracer = network.tracer
+        self._spans: EpochSpanTracker | None = network.epoch_spans
+        registry = network.obs.registry
+        self._c_gen = registry.counter(
+            "node_blocks_generated", "blocks created, by kind", ("kind",)
+        )
+        self._c_tip = registry.counter(
+            "node_tip_changes", "main-chain tip movements across all nodes"
+        )
+        self._c_epochs = (
+            registry.counter(
+                "ng_leader_epochs", "leader epochs started across all nodes"
+            )
+            if self.LEADER_EPOCHS
+            else NULL_METRIC
+        )
         # DoS protection: peers accumulate misbehavior points for
         # invalid objects; at the threshold their traffic is ignored,
         # mirroring Bitcoin Core's ban score.
@@ -137,6 +177,110 @@ class GossipNode:
         fine — the tip solicitation is then simply not answered.
         """
         return None
+
+    # -- protocol facts -----------------------------------------------------
+    #
+    # One call per fact.  Each writes the paper-metrics log, bumps its
+    # registry counter, feeds the epoch-span tracker and emits the
+    # schema-v1 trace record, for whichever of those sinks is attached.
+
+    def attach_log(self, log: ObservationLog | None, genesis: bytes) -> None:
+        """Attach the paper-metrics log; every node starts on ``genesis``."""
+        self.log = log
+        if log is not None:
+            log.record_tip(self.node_id, genesis, self.sim.now)
+
+    def block_generated(
+        self,
+        block_hash: bytes,
+        parent: bytes,
+        kind: str,
+        size: int,
+        n_tx: int,
+        work: int = 0,
+    ) -> None:
+        """This node created a block; it is also the block's first arrival."""
+        now = self.sim.now
+        if self.log is not None:
+            self.log.record_generation(
+                BlockInfo(
+                    hash=block_hash,
+                    parent=parent,
+                    miner=self.node_id,
+                    gen_time=now,
+                    work=work,
+                    kind=kind,
+                    n_tx=n_tx,
+                    size=size,
+                )
+            )
+            self.log.record_arrival(self.node_id, block_hash, now)
+        self._c_gen.labels(kind=kind).inc()
+        if self._spans is not None:
+            self._spans.block_generated(self.node_id, kind)
+        if self._tracer is not None:
+            self._tracer.emit(
+                "block_gen",
+                now,
+                hash=short_hash(block_hash),
+                parent=short_hash(parent),
+                kind=kind,
+                miner=self.node_id,
+                size=size,
+                n_tx=n_tx,
+            )
+
+    def block_arrived(self, block_hash: bytes, kind: str) -> None:
+        """A block relayed by a peer reached this node."""
+        if self.log is not None:
+            self.log.record_arrival(self.node_id, block_hash, self.sim.now)
+        if self._tracer is not None:
+            self._tracer.emit(
+                "block_arrival",
+                self.sim.now,
+                node=self.node_id,
+                hash=short_hash(block_hash),
+                kind=kind,
+            )
+
+    def tip_changed(self, tip: bytes, height: int) -> None:
+        """This node's main-chain tip moved to ``tip`` at ``height``."""
+        if self.log is not None:
+            self.log.record_tip(self.node_id, tip, self.sim.now)
+        self._c_tip.inc()
+        if self._tracer is not None:
+            self._tracer.emit(
+                "tip_change",
+                self.sim.now,
+                node=self.node_id,
+                tip=short_hash(tip),
+                height=height,
+            )
+
+    def epoch_started(self, key_block: bytes) -> None:
+        """This node became leader: its ``key_block`` heads the chain."""
+        self._c_epochs.inc()
+        if self._spans is not None:
+            self._spans.epoch_started(self.node_id, key_block, self.sim.now)
+        if self._tracer is not None:
+            self._tracer.emit(
+                "epoch_start",
+                self.sim.now,
+                leader=self.node_id,
+                key_block=short_hash(key_block),
+            )
+
+    def epoch_ended(self, key_block: bytes) -> None:
+        """This node lost the leadership its ``key_block`` gave it."""
+        if self._spans is not None:
+            self._spans.epoch_ended(self.node_id, self.sim.now)
+        if self._tracer is not None:
+            self._tracer.emit(
+                "epoch_end",
+                self.sim.now,
+                leader=self.node_id,
+                key_block=short_hash(key_block),
+            )
 
     # -- public operations --------------------------------------------------
 

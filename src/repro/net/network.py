@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Iterator, Protocol
 
 from ..obs.facade import NULL_OBS
 from .interning import ObjectIdTable
@@ -30,6 +30,9 @@ from .latency import LatencyHistogram
 from .links import DEFAULT_BANDWIDTH_BPS, SMALL_MESSAGE_CUTOFF, LinkView
 from .simulator import Simulator
 from .topology import Topology
+
+if TYPE_CHECKING:
+    from .gossip import EpochSpanTracker
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +122,9 @@ class Network:
         self.obs = obs if obs is not None else NULL_OBS
         self.tracer = self.obs.tracer
         self._obs_on = self.obs.enabled
+        # The profiler's leader-epoch span tracker, or None.  Set before
+        # nodes are built: each node reads it once, beside the tracer.
+        self.epoch_spans: EpochSpanTracker | None = None
         registry = self.obs.registry
         self._c_msgs = registry.counter(
             "net_messages_sent",

@@ -98,7 +98,7 @@ class TraceSummary:
     faults: dict[str, int] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     # Epoch spans from the profiler (``prof_span`` records), when the
-    # trace was captured under ``repro prof`` / a ProfilerRuntime tap.
+    # trace was captured under ``repro prof``.
     prof_spans: int = 0
     prof_spans_closed: int = 0
     span_duration_sum: float = 0.0

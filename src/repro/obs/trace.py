@@ -19,7 +19,7 @@ Record vocabulary (schema version 1):
 ``obj_reject``           a delivered object failed validation (veto)
 ``block_gen``            a block was created (hash, kind, miner, size, n_tx)
 ``block_arrival``        a node first learned of a block
-``tip_change``           a node's main-chain tip moved
+``tip_change``           a node's main-chain tip moved (node, tip, height)
 ``epoch_start``          an NG node became leader (its key block heads the
                          chain)
 ``epoch_end``            an NG node observed loss of its leadership

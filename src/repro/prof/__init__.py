@@ -39,7 +39,7 @@ from .report import (
     format_diff,
     format_report,
 )
-from .runtime import ProfilerRuntime, ProfObservability, TapTracer
+from .runtime import ProfilerRuntime
 
 __all__ = [
     "DEFAULT_MIN_DELTA",
@@ -53,8 +53,6 @@ __all__ = [
     "Profile",
     "ProfileError",
     "ProfilerRuntime",
-    "ProfObservability",
-    "TapTracer",
     "compare_profiles",
     "format_diff",
     "format_report",
@@ -68,7 +66,7 @@ def profile_experiment(config, profiler: ProfilerRuntime | None = None):
     """Run one profiled experiment: ``(result, log, profile)``.
 
     The convenience entry point the CLI, benchmarks, and tests share.
-    ``profiler`` may be injected pre-built (to wire extra taps); by
+    ``profiler`` may be injected pre-built (to inspect it afterwards); by
     default a fresh :class:`ProfilerRuntime` is used.  The experiment
     itself is bit-identical to an unprofiled ``run_experiment(config)``.
     """

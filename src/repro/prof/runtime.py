@@ -24,17 +24,20 @@ Design constraints, in priority order:
   callbacks (custom adapters, tests) degrade to an ``other:`` phase
   rather than breaking.
 
-Epoch spans ride the existing trace stream: a :class:`TapTracer`
-interposes on the run's tracer (or on ``None`` for un-instrumented
-runs), watches ``epoch_start``/``epoch_end``/``block_gen`` records, and
-folds them into key-block → microblock-stream → handover spans.  Closed
-spans are re-emitted as schema-v1 ``prof_span`` records when a real
-trace sink is attached.
+Epoch spans come from the node event path, not from the trace: the
+runner puts the runtime in the network's ``epoch_spans`` slot before
+building nodes, so every NG node reports ``epoch_started`` /
+``epoch_ended`` / ``block_generated`` to it directly (the
+:class:`~repro.net.gossip.EpochSpanTracker` protocol), tracer or no
+tracer.  Those calls fold into key-block → microblock-stream → handover
+spans.  Closed spans are emitted as schema-v1 ``prof_span`` records
+when the run has a tracer.
 """
 
 from __future__ import annotations
 
 from ..clock import wall_clock
+from ..obs.trace import short_hash
 from .profile import (
     PHASE_DISPATCH,
     PHASE_HEAPPOP,
@@ -62,67 +65,6 @@ _KNOWN_CALLBACKS: dict[str, tuple[str | None, int]] = {
 }
 
 
-class TapTracer:
-    """A tracer interposer feeding epoch events to the profiler.
-
-    Forwards every record to the wrapped tracer (when there is one) so
-    instrumented runs keep their full trace, and mirrors the records the
-    span tracker cares about into the :class:`ProfilerRuntime`.  With no
-    inner tracer (a bare ``--prof`` run) it is the *only* tracer in the
-    system: nodes emit epoch/block records through it, the profiler sees
-    them, and nothing is written anywhere.
-    """
-
-    __slots__ = ("inner", "profiler")
-
-    def __init__(self, inner, profiler: "ProfilerRuntime") -> None:
-        self.inner = inner
-        self.profiler = profiler
-
-    @property
-    def records_written(self) -> int:
-        return self.inner.records_written if self.inner is not None else 0
-
-    def emit(self, ev: str, t: float, **fields) -> None:
-        if ev == "epoch_start" or ev == "epoch_end" or ev == "block_gen":
-            self.profiler.observe_trace(ev, t, fields)
-        if self.inner is not None:
-            self.inner.emit(ev, t, **fields)
-
-    def close(self) -> None:
-        if self.inner is not None:
-            self.inner.close()
-
-
-class ProfObservability:
-    """An :class:`~repro.obs.facade.Observability` wrapper adding the tap.
-
-    Mimics the facade surface the runner, network, and nodes read
-    (``registry``/``tracer``/``enabled``/``install``/``finalize``) while
-    swapping the tracer for a :class:`TapTracer`.  ``enabled`` follows
-    the base facade, so wrapping ``NULL_OBS`` keeps the network's
-    per-send instrumentation off (bit-identical hot path) while nodes —
-    which guard only on ``tracer is not None`` — still feed epoch
-    records to the span tracker.
-    """
-
-    def __init__(self, base, profiler: "ProfilerRuntime") -> None:
-        self.base = base
-        self.enabled = base.enabled
-        self.registry = base.registry
-        self.tracer = TapTracer(base.tracer, profiler)
-        self.samplers = base.samplers
-
-    def install(self, sim, network, nodes, horizon, meta=None) -> None:
-        self.base.install(sim, network, nodes, horizon, meta=meta)
-        self.samplers = self.base.samplers
-
-    def finalize(self, network=None, extra=None, end_time=0.0):
-        return self.base.finalize(
-            network=network, extra=extra, end_time=end_time
-        )
-
-
 class ProfilerRuntime:
     """Accumulates phase/node/checker attribution for one experiment."""
 
@@ -146,21 +88,20 @@ class ProfilerRuntime:
         # Span tracking: leader id -> open EpochSpan.
         self._open_spans: dict[int, EpochSpan] = {}
         self.spans: list[EpochSpan] = []
-        self._span_sink = None  # inner tracer for prof_span emission
+        self._span_sink = None  # the run's tracer, for prof_span records
 
     # -- wiring --------------------------------------------------------------
 
-    def install(self, sim, n_nodes: int) -> None:
-        """Claim the simulator's profiler slot and size per-node arrays."""
+    def install(self, sim, n_nodes: int, tracer=None) -> None:
+        """Claim the simulator's profiler slot and size per-node arrays.
+
+        ``tracer`` (the run's, or None) receives the ``prof_span``
+        records of closed epochs.
+        """
         self._node_calls = [0] * n_nodes
         self._node_seconds = [0.0] * n_nodes
+        self._span_sink = tracer
         sim.set_profiler(self)
-
-    def wrap_observability(self, obs) -> ProfObservability:
-        """Interpose the span tap on a run's observability facade."""
-        wrapper = ProfObservability(obs, self)
-        self._span_sink = obs.tracer
-        return wrapper
 
     # -- hot-loop callbacks (invoked by Simulator._run_profiled) -------------
 
@@ -234,29 +175,27 @@ class ProfilerRuntime:
         stat[0] += 1
         stat[1] += seconds
 
-    # -- epoch spans (invoked by TapTracer) ----------------------------------
+    # -- epoch spans (invoked by the node event path) -----------------------
 
-    def observe_trace(self, ev: str, t: float, fields: dict) -> None:
-        if ev == "epoch_start":
-            leader = fields.get("leader", -1)
-            stale = self._open_spans.pop(leader, None)
-            if stale is not None:
-                # The leader regained leadership without observing loss
-                # (e.g. a fork resolved back); close the earlier span at
-                # the new epoch's start.
-                self._close_span(stale, t, closed=True)
-            self._open_spans[leader] = EpochSpan(
-                leader=leader,
-                key_block=str(fields.get("key_block", "")),
-                start=t,
-                end=t,
-            )
-        elif ev == "epoch_end":
-            span = self._open_spans.pop(fields.get("leader", -1), None)
-            if span is not None:
-                self._close_span(span, t, closed=True)
-        elif ev == "block_gen" and fields.get("kind") == "micro":
-            span = self._open_spans.get(fields.get("miner", -1))
+    def epoch_started(self, leader: int, key_block: bytes, t: float) -> None:
+        stale = self._open_spans.pop(leader, None)
+        if stale is not None:
+            # The leader regained leadership without observing loss
+            # (e.g. a fork resolved back); close the earlier span at
+            # the new epoch's start.
+            self._close_span(stale, t, closed=True)
+        self._open_spans[leader] = EpochSpan(
+            leader=leader, key_block=short_hash(key_block), start=t, end=t
+        )
+
+    def epoch_ended(self, leader: int, t: float) -> None:
+        span = self._open_spans.pop(leader, None)
+        if span is not None:
+            self._close_span(span, t, closed=True)
+
+    def block_generated(self, miner: int, kind: str) -> None:
+        if kind == "micro":
+            span = self._open_spans.get(miner)
             if span is not None:
                 span.micros += 1
 

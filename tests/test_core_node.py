@@ -22,14 +22,19 @@ from repro.net.latency import constant_histogram
 from repro.net.network import Network
 from repro.net.simulator import Simulator
 from repro.net.topology import complete_topology
+from repro.obs import MemorySink, Observability, Tracer
 
 PARAMS = NGParams(key_block_interval=100.0, min_microblock_interval=10.0)
 GENESIS = make_ng_genesis()
 
 
-def _cluster(n=3, params=PARAMS, log=None, check_signatures=True, interval=None):
+def _cluster(
+    n=3, params=PARAMS, log=None, check_signatures=True, interval=None, obs=None
+):
     sim = Simulator(seed=0)
-    net = Network(sim, complete_topology(n), constant_histogram(0.05), 1e6)
+    net = Network(
+        sim, complete_topology(n), constant_histogram(0.05), 1e6, obs=obs
+    )
     nodes = [
         NGNode(
             i,
@@ -88,6 +93,25 @@ def test_leadership_transfers_on_new_key_block():
     # The deposed leader generated nothing further.
     assert nodes[0].microblocks_generated == count_before
     assert nodes[1].microblocks_generated > 0
+
+
+def test_deposed_leader_reports_epoch_end_once():
+    sim, nodes, sink = _traced_cluster()
+    first = nodes[0].generate_key_block()
+    sim.run(until=25.0)
+    second = nodes[1].generate_key_block()
+    sim.run(until=60.0)
+    # Node 0 learns of its loss when its next microblock timer fires.
+    ends = [r for r in sink.records if r["ev"] == "epoch_end"]
+    assert [(r["leader"], r["key_block"]) for r in ends] == [
+        (0, first.hash.hex()[:12])
+    ]
+    assert 25.0 < ends[0]["t"] <= 30.0
+    starts = [r for r in sink.records if r["ev"] == "epoch_start"]
+    assert [(r["leader"], r["key_block"]) for r in starts] == [
+        (0, first.hash.hex()[:12]),
+        (1, second.hash.hex()[:12]),
+    ]
 
 
 def test_microblocks_signed_and_verified():
@@ -170,12 +194,18 @@ def test_equivocating_leader_poisoned_by_next():
     )
 
 
-class _RecordingTracer:
-    def __init__(self):
-        self.events = []
+def _traced_cluster():
+    sink = MemorySink()
+    sim, net, nodes = _cluster(obs=Observability(tracer=Tracer(sink)))
+    return sim, nodes, sink
 
-    def emit(self, name, t, **fields):
-        self.events.append(name)
+
+def _arrivals(sink, node_id):
+    return sum(
+        1
+        for r in sink.records
+        if r["ev"] == "block_arrival" and r["node"] == node_id
+    )
 
 
 def test_mined_key_blocks_are_counted():
@@ -223,34 +253,27 @@ def test_wrongly_signed_microblock_rejected_at_the_chain_layer():
 
 
 def test_block_arrival_traced_only_for_relayed_blocks():
-    sim, _, nodes = _cluster()
+    sim, nodes, sink = _traced_cluster()
     key = nodes[0].generate_key_block()
-    tracer = _RecordingTracer()
-    nodes[1]._tracer = tracer
     nodes[1]._deliver_key_block(key, sender=0)
-    assert tracer.events.count("block_arrival") == 1
+    assert _arrivals(sink, 1) == 1
     # Self-generated objects (sender None) are not arrivals.
-    tracer2 = _RecordingTracer()
-    nodes[2]._tracer = tracer2
     nodes[2]._deliver_key_block(key, sender=None)
-    assert tracer2.events.count("block_arrival") == 0
+    assert _arrivals(sink, 2) == 0
+    assert _arrivals(sink, 0) == 0  # the miner's own block neither
 
 
 def test_microblock_arrival_traced_only_for_relayed_blocks():
-    sim, _, nodes = _cluster()
+    sim, nodes, sink = _traced_cluster()
     key = nodes[0].generate_key_block()
     sim.run(until=1.0)
     micro = build_microblock(
         key.hash, 11.0, SyntheticPayload(n_tx=1, salt=b"t"), nodes[0].key
     )
-    tracer = _RecordingTracer()
-    nodes[1]._tracer = tracer
     nodes[1]._deliver_microblock(micro, sender=0)
-    assert tracer.events.count("block_arrival") == 1
-    tracer2 = _RecordingTracer()
-    nodes[2]._tracer = tracer2
+    assert _arrivals(sink, 1) == 2  # the key block, then the microblock
     nodes[2]._deliver_microblock(micro, sender=None)
-    assert tracer2.events.count("block_arrival") == 0
+    assert _arrivals(sink, 2) == 1  # only the relayed key block
 
 
 def test_deliver_routes_tx_objects_to_admission(monkeypatch):

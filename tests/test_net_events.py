@@ -29,27 +29,24 @@ def test_simultaneous_events_fifo():
 def test_cancelled_events_skipped():
     queue = EventQueue()
     fired = []
-    keep = queue.push(1.0, lambda: fired.append("keep"))
+    queue.push(1.0, lambda: fired.append("keep"))
     drop = queue.push(0.5, lambda: fired.append("drop"))
     drop.cancel()
-    while (event := queue.pop()) is not None:
-        event.callback()
+    # The cancelled head is skipped: the next pop is the live event.
+    head = queue.pop()
+    assert head is not None and head.time == 1.0
+    head.callback()
+    assert queue.pop() is None
     assert fired == ["keep"]
-
-
-def test_peek_time_skips_cancelled():
-    queue = EventQueue()
-    early = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    early.cancel()
-    assert queue.peek_time() == 2.0
 
 
 def test_empty_queue():
     queue = EventQueue()
     assert queue.pop() is None
-    assert queue.peek_time() is None
     assert len(queue) == 0
+    # A queue holding only cancelled events pops as empty too.
+    queue.push(1.0, lambda: None).cancel()
+    assert queue.pop() is None
 
 
 def test_negative_time_rejected():

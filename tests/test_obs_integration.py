@@ -51,12 +51,26 @@ def test_ng_run_emits_the_full_vocabulary():
     assert result.obs is not None
 
 
-def test_bitcoin_run_traces_blocks_and_tips():
-    _, log, records = _run_traced(SMALL.with_(protocol=Protocol.BITCOIN))
+# Fields of the per-node fact records, identical for every protocol.
+FACT_FIELDS = {
+    "block_gen": {"v", "ev", "t", "hash", "parent", "kind", "miner", "size", "n_tx"},
+    "block_arrival": {"v", "ev", "t", "node", "hash", "kind"},
+    "tip_change": {"v", "ev", "t", "node", "tip", "height"},
+}
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_run_traces_blocks_and_tips(protocol):
+    result, log, records = _run_traced(SMALL.with_(protocol=protocol))
     gens = [r for r in records if r["ev"] == "block_gen"]
     assert len(gens) == len(log.index)
-    assert all(r["kind"] == "block" for r in gens)
-    assert any(r["ev"] == "tip_change" for r in records)
+    kinds = {"key", "micro"} if protocol is Protocol.BITCOIN_NG else {"block"}
+    assert {r["kind"] for r in gens} == kinds
+    tips = [r for r in records if r["ev"] == "tip_change"]
+    assert tips
+    assert len(tips) == result.obs["metrics"]["node_tip_changes"]["values"][""]
+    for ev, fields in FACT_FIELDS.items():
+        assert all(set(r) == fields for r in records if r["ev"] == ev), ev
 
 
 def test_snapshot_carries_metrics_traffic_and_samples():

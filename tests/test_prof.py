@@ -19,11 +19,12 @@ from repro.prof import (
     Profile,
     ProfileError,
     ProfilerRuntime,
-    TapTracer,
     load_profile,
     profile_experiment,
     to_folded,
 )
+from repro.net.simulator import Simulator
+from repro.obs.trace import MemorySink, Tracer
 from repro.prof.report import compare_profiles, format_diff, format_report
 
 
@@ -153,51 +154,35 @@ def test_folded_skips_zero_phases():
 # -- epoch span tracking ----------------------------------------------------
 
 
-class _RecordingSink:
-    def __init__(self):
-        self.records = []
-        self.records_written = 0
-
-    def emit(self, ev, t, **fields):
-        self.records.append((ev, t, fields))
-        self.records_written += 1
-
-    def close(self):
-        pass
-
-
-def test_span_lifecycle_via_tap_tracer():
+def test_span_lifecycle_via_node_facts():
     runtime = ProfilerRuntime()
-    sink = _RecordingSink()
-    runtime._span_sink = sink
-    tap = TapTracer(sink, runtime)
-    tap.emit("epoch_start", 5.0, leader=1, key_block="ab12")
-    tap.emit("block_gen", 6.0, kind="micro", miner=1, hash="m1")
-    tap.emit("block_gen", 7.0, kind="micro", miner=1, hash="m2")
-    tap.emit("block_gen", 7.5, kind="micro", miner=9, hash="m3")  # not leader
-    tap.emit("block_gen", 8.0, kind="key", miner=2, hash="cd34")
-    tap.emit("epoch_end", 8.5, leader=1, key_block="ab12")
-    tap.emit("epoch_start", 8.5, leader=2, key_block="cd34")
+    sink = MemorySink()
+    runtime.install(Simulator(), 0, tracer=Tracer(sink))
+    # The EpochSpanTracker calls NG nodes make on the node event path.
+    runtime.epoch_started(1, bytes.fromhex("ab12"), 5.0)
+    runtime.block_generated(1, "micro")
+    runtime.block_generated(1, "micro")
+    runtime.block_generated(9, "micro")  # not leader
+    runtime.block_generated(2, "key")
+    runtime.epoch_ended(1, 8.5)
+    runtime.epoch_started(2, bytes.fromhex("cd34"), 8.5)
 
     assert len(runtime.spans) == 1
     span = runtime.spans[0]
     assert (span.leader, span.key_block, span.micros) == (1, "ab12", 2)
     assert span.start == 5.0 and span.end == 8.5 and span.closed
 
-    # Closing emitted a prof_span record through the sink; the forwarded
-    # originals are also there (TapTracer is an interposer, not a filter).
-    prof_spans = [r for r in sink.records if r[0] == "prof_span"]
-    assert len(prof_spans) == 1
-    _, t, fields = prof_spans[0]
-    assert t == 8.5
-    assert fields == {
+    # Closing emitted a prof_span record, and nothing else, to the tracer.
+    assert [r["ev"] for r in sink.records] == ["prof_span"]
+    record = sink.records[0]
+    assert record["t"] == 8.5
+    assert {k: v for k, v in record.items() if k not in ("v", "ev", "t")} == {
         "leader": 1,
         "key_block": "ab12",
         "start": 5.0,
         "micros": 2,
         "closed": True,
     }
-    assert sum(1 for r in sink.records if r[0] == "epoch_start") == 2
 
     # The still-open epoch closes unclosed at profile build time.
     profile = runtime.build_profile({}, 0.0, 1.0, 0, end_time=12.0)
@@ -209,13 +194,33 @@ def test_span_lifecycle_via_tap_tracer():
 
 def test_reelected_leader_closes_stale_span():
     runtime = ProfilerRuntime()
-    tap = TapTracer(None, runtime)
-    tap.emit("epoch_start", 1.0, leader=3, key_block="aa")
-    tap.emit("epoch_start", 4.0, leader=3, key_block="bb")
+    runtime.epoch_started(3, bytes.fromhex("aa"), 1.0)
+    runtime.epoch_started(3, bytes.fromhex("bb"), 4.0)
     assert len(runtime.spans) == 1
     assert runtime.spans[0].key_block == "aa"
     assert runtime.spans[0].end == 4.0
     assert runtime.spans[0].closed
+
+
+def test_spans_need_no_tracer(monkeypatch):
+    from repro.experiments import run_experiment
+    from repro.obs import Observability
+
+    config = _small_config()
+    traced = ProfilerRuntime()
+    run_experiment(
+        config, obs=Observability(tracer=Tracer(MemorySink())), profiler=traced
+    )
+
+    def refuse(self, ev, t, **fields):
+        raise AssertionError(f"bare profiled run built a {ev!r} record")
+
+    # A profiled run without obs builds no trace records at all.
+    monkeypatch.setattr(Tracer, "emit", refuse)
+    bare = ProfilerRuntime()
+    run_experiment(config, profiler=bare)
+    assert bare.spans == traced.spans
+    assert bare.spans, "the config must close at least one epoch"
 
 
 def test_dispatch_phase_absorbs_loop_residual():
