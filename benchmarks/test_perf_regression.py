@@ -262,7 +262,7 @@ def test_sweep_parallel_identical_and_timed():
         assert speedup >= 2.0, f"parallel dispatch only {speedup:.2f}x"
 
 
-def test_obs_disabled_overhead():
+def test_obs_disabled_overhead(tmp_path):
     """Disabled observability keeps the dispatch benchmark within 5%.
 
     Interleaves rounds of the bare 200k-event pump with rounds of the
@@ -300,17 +300,14 @@ def test_obs_disabled_overhead():
         bare_rate = max(bare_rate, one_round(install_obs=False))
         disabled_rate = max(disabled_rate, one_round(install_obs=True))
 
-    # Informative (unasserted): what turning observability fully on
-    # costs the real experiment hot path, for the docs.
+    # Informative (unasserted): what ``--obs`` costs the real experiment
+    # hot path, for the docs — trace encoding and file writes included.
     obs_config = SWEEP_BASE.with_(seed=0)
     start = time.perf_counter()
     run_experiment(obs_config)
     off_wall = time.perf_counter() - start
-    from repro.obs import Observability
-    from repro.obs.trace import MemorySink, Tracer
-
     start = time.perf_counter()
-    run_experiment(obs_config, obs=Observability(tracer=Tracer(MemorySink())))
+    run_experiment(obs_config.with_(obs_dir=str(tmp_path)))
     on_wall = time.perf_counter() - start
 
     ratio = disabled_rate / bare_rate

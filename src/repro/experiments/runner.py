@@ -154,38 +154,45 @@ def run_experiment(
     }
     if config.scenario is not None:
         meta["scenario"] = config.scenario.get("name", "unnamed")
-    obs.install(sim, network, nodes, horizon, meta=meta)
-    if sanitizer is not None:
-        sanitizer.install(sim, nodes)
-    engine = None
-    if config.scenario is not None:
-        from ..scenarios.engine import ScenarioEngine
+    # The trace opens at install; close it even when the run raises,
+    # so a failed run's trace holds every record emitted before the
+    # error.
+    try:
+        obs.install(sim, network, nodes, horizon, meta=meta)
+        if sanitizer is not None:
+            sanitizer.install(sim, nodes)
+        engine = None
+        if config.scenario is not None:
+            from ..scenarios.engine import ScenarioEngine
 
-        engine = ScenarioEngine(
-            config.scenario,
-            sim=sim,
-            network=network,
-            nodes=nodes,
-            adapter=adapter,
-            scheduler=scheduler,
-            shares=shares,
-            seed=config.seed,
-            tracer=obs.tracer,
-        )
-        engine.install()
-    if profiler is not None:
-        profiler.install(sim, config.n_nodes, tracer=obs.tracer)
-    wall_setup = wall_clock() - setup_started
-    simulate_started = wall_clock()
-    scheduler.start()
-    sim.run(until=config.duration)
-    scheduler.stop()
-    sim.run(until=horizon)
-    wall_simulate = wall_clock() - simulate_started
-    if sanitizer is not None:
-        sanitizer.finalize()
-    log.finalize(horizon)
-    snapshot = obs.finalize(network=network, end_time=horizon)
+            engine = ScenarioEngine(
+                config.scenario,
+                sim=sim,
+                network=network,
+                nodes=nodes,
+                adapter=adapter,
+                scheduler=scheduler,
+                shares=shares,
+                seed=config.seed,
+                tracer=obs.tracer,
+            )
+            engine.install()
+        if profiler is not None:
+            profiler.install(sim, config.n_nodes, tracer=obs.tracer)
+        wall_setup = wall_clock() - setup_started
+        simulate_started = wall_clock()
+        scheduler.start()
+        sim.run(until=config.duration)
+        scheduler.stop()
+        sim.run(until=horizon)
+        wall_simulate = wall_clock() - simulate_started
+        if sanitizer is not None:
+            sanitizer.finalize()
+        log.finalize(horizon)
+        snapshot = obs.finalize(network=network, end_time=horizon)
+    finally:
+        if obs.tracer is not None:
+            obs.tracer.close()
     result = ExperimentResult(
         config=config,
         consensus_delay=consensus_delay(log),

@@ -136,6 +136,9 @@ class Network:
             "payload bytes booked onto links, by wire kind",
             labelnames=("kind",),
         )
+        # Wire kind -> its (messages, bytes) counter children, so a
+        # send skips the two ``labels`` lookups.
+        self._kind_counters: dict[str, tuple[Any, Any]] = {}
         self._c_drops = registry.counter(
             "net_sends_dropped", "sends discarded by churn or partitions"
         )
@@ -448,13 +451,8 @@ class Network:
         self.messages_delivered += 1
         self.bytes_delivered += message.size
         if self._obs_on and self.tracer is not None:
-            self.tracer.emit(
-                "deliver",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=message.kind,
-                size=message.size,
+            self.tracer.message(
+                "deliver", self.sim.now, src, dst, message.kind, message.size
             )
         handler.on_message(src, message)
 
@@ -469,31 +467,27 @@ class Network:
         arrival: float,
     ) -> None:
         kind = message.kind
-        self._c_msgs.labels(kind=kind).inc()
-        self._c_bytes.labels(kind=kind).inc(message.size)
+        size = message.size
+        counters = self._kind_counters.get(kind)
+        if counters is None:
+            counters = self._kind_counters[kind] = (
+                self._c_msgs.labels(kind=kind),
+                self._c_bytes.labels(kind=kind),
+            )
+        counters[0].inc()
+        counters[1].inc(size)
         self._h_queue_delay.observe(queue_delay)
         if self.tracer is not None:
-            self.tracer.emit(
-                "send",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=kind,
-                size=message.size,
-                qd=round(queue_delay, 6),
-                arr=round(arrival, 6),
+            self.tracer.send(
+                self.sim.now, src, dst, kind, size,
+                round(queue_delay, 6), round(arrival, 6),
             )
 
     def _record_drop(self, src: int, dst: int, message: Message) -> None:
         self._c_drops.inc()
         if self.tracer is not None:
-            self.tracer.emit(
-                "drop",
-                self.sim.now,
-                src=src,
-                dst=dst,
-                kind=message.kind,
-                size=message.size,
+            self.tracer.message(
+                "drop", self.sim.now, src, dst, message.kind, message.size
             )
 
     def link_utilization(self, now: float) -> tuple[int, int, float]:

@@ -1,17 +1,23 @@
 """Observability wired through a whole experiment, serial and pooled."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentConfig, Protocol, run_experiment
 from repro.experiments.parallel import run_many
+from repro.net.gossip import GossipNode
 from repro.obs import (
     Observability,
     config_slug,
     load_records,
 )
 from repro.obs.trace import MemorySink, Tracer
+from repro.scenarios.spec import load_scenario
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 SMALL = ExperimentConfig(
     n_nodes=12,
@@ -122,6 +128,65 @@ def test_from_config_writes_trace_and_metrics_files(tmp_path):
     assert snapshot == result.obs
     assert result.obs["trace_path"] == str(trace_path)
     assert result.obs["trace_records"] == len(records)
+
+
+# sha256 of the trace and of the metrics snapshot (``trace_path``
+# left out: it names the temporary directory) of GOLDEN_CONFIG.  The
+# run crosses every fault window of partition_heal.json, so the trace
+# holds send, deliver and drop records beside the fault records.
+GOLDEN_CONFIG = SMALL.with_(
+    protocol=Protocol.BITCOIN_NG,
+    block_rate=0.02,
+    target_key_blocks=6,
+    scenario=load_scenario(EXAMPLES / "partition_heal.json"),
+)
+GOLDEN_TRACE_SHA256 = (
+    "2885e7a50e18d042c654885d8c948d3e4243b69ee6e12509c0b5d11fc9aa5c2f"
+)
+GOLDEN_METRICS_SHA256 = (
+    "57bffb550efb77e2c1eb9306f142beeded16f9e1903fc575fbffad5b27a0c882"
+)
+
+
+def test_trace_and_metrics_files_are_byte_identical_to_golden(tmp_path):
+    config = GOLDEN_CONFIG.with_(obs_dir=str(tmp_path))
+    run_experiment(config)
+    slug = config_slug(config)
+    trace = (tmp_path / f"{slug}.trace.jsonl").read_bytes()
+    events = {json.loads(line)["ev"] for line in trace.splitlines()}
+    assert {"send", "deliver", "drop", "partition", "heal", "msg_loss"} <= events
+    snapshot = json.loads((tmp_path / f"{slug}.metrics.json").read_text())
+    assert snapshot.pop("trace_path") == str(tmp_path / f"{slug}.trace.jsonl")
+    metrics = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(trace).hexdigest() == GOLDEN_TRACE_SHA256
+    assert (
+        hashlib.sha256(metrics.encode()).hexdigest() == GOLDEN_METRICS_SHA256
+    )
+
+
+def test_failed_run_keeps_every_record_emitted_before_the_error(
+    tmp_path, monkeypatch
+):
+    config = SMALL.with_(protocol=Protocol.BITCOIN_NG, obs_dir=str(tmp_path))
+    obs = Observability.from_config(config)
+    on_message = GossipNode.on_message
+    calls = 0
+
+    def failing_on_message(self, sender, message):
+        nonlocal calls
+        calls += 1
+        if calls == 300:
+            raise RuntimeError("handler failed")
+        on_message(self, sender, message)
+
+    monkeypatch.setattr(GossipNode, "on_message", failing_on_message)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        run_experiment(config, obs=obs)
+    records = load_records(obs.trace_path)
+    assert len(records) == obs.tracer.records_written
+    # The network traces a delivery before handing it to the handler.
+    assert records[-1]["ev"] == "deliver"
+    assert sum(r["ev"] == "deliver" for r in records) == 300
 
 
 def test_disabled_config_produces_no_snapshot():
